@@ -2,15 +2,10 @@
 //
 // Two sections, both emitted into BENCH_clock_scale.json with --json:
 //
-//  * "stamp" — raw commit-stamp acquisition throughput for the four
-//    timebase schemes, threads × scheme:
+//  * "stamp" — raw stamp acquisition throughput, threads × scheme:
 //      global      GlobalCounter::acquire_commit_time (one fetch_add on a
-//                  single shared line — the §2 baseline every runtime
-//                  defaults to)
-//      cas-stride  GV5-style: read clock, one CAS to +stride, adopt the
-//                  winner's value on failure (tl2 Config::clock_scheme)
-//      batched     BatchedCounter: leases of k ticks, common case one CAS
-//                  on the slot's OWN padded line (lsa Config::time_base)
+//                  single shared line — the §2 commit clock every scalar
+//                  runtime and tl2 use)
 //      sharded     ShardedClock exclusive layout: one single-writer lane
 //                  per slot — plain load + release store, no atomic RMW
 //                  at all (the runtimes' id generator)
@@ -20,11 +15,10 @@
 //    never materializes, so the uncontended instruction cost dominates;
 //    on multi-core parts the shared-line RMW rate is what serializes.
 //
-//  * "bank" — the paper's §5.5 bank across all façade variants, baseline
-//    config vs "scaled" (batched timebase for the scalar runtimes, CAS
-//    clock for tl2, sharded ids everywhere), to show the options do not
-//    regress end-to-end behavior where the criterion forbids exploiting
-//    them fully.
+//  * "bank" — the paper's §5.5 bank across all façade variants with
+//    transaction ids from the global counter ("baseline") vs the sharded
+//    clock ("sharded-ids", the default), the end-to-end view of the one
+//    timebase option the runtimes keep.
 //
 // CLI: --json, --threads=1,2,4 (comma list), --duration-ms=150 (bank
 // cells), --skip-bank (stamp section only; CI uses the full run).
@@ -39,15 +33,12 @@
 
 #include "bank_harness.hpp"
 #include "bench_json.hpp"
-#include "timebase/batched_counter.hpp"
 #include "timebase/global_counter.hpp"
 #include "timebase/sharded_clock.hpp"
 
 namespace zstm::bench {
 namespace {
 
-constexpr int kBatch = 64;
-constexpr int kStride = 2;
 constexpr std::uint64_t kOpsPerThread = 4'000'000;
 
 struct StampResult {
@@ -150,61 +141,7 @@ int run(int argc, char** argv) {
           .str("section", "stamp")
           .str("timebase", "global")
           .num("threads", threads)
-          .num("batch", 0)
           .num("shards", 0)
-          .num("stride", 0)
-          .num("ops", r.ops)
-          .num("seconds", r.seconds)
-          .num("mops", r.mops)
-          .num("shared_rmws_per_op", r.shared_rmws_per_op);
-    }
-    // --- cas-stride: load + one CAS per stamp on the shared line; losers
-    // adopt the winner's value instead of retrying (tl2 GV5).
-    {
-      timebase::GlobalCounter gc;
-      StampResult r = run_stamp_loop(threads, [&](int) {
-        std::uint64_t cur = gc.now();
-        if (gc.try_advance_commit_time(cur, cur + kStride)) {
-          return cur + kStride;
-        }
-        return cur;  // adopt
-      });
-      r.shared_rmws_per_op = 1.0;  // one CAS per stamp (plus a shared load)
-      std::printf("%8d %-12s %10.1f %8llu %20.4f\n", threads, "cas-stride",
-                  r.mops, static_cast<unsigned long long>(r.ops),
-                  r.shared_rmws_per_op);
-      doc.row()
-          .str("section", "stamp")
-          .str("timebase", "cas-stride")
-          .num("threads", threads)
-          .num("batch", 0)
-          .num("shards", 0)
-          .num("stride", kStride)
-          .num("ops", r.ops)
-          .num("seconds", r.seconds)
-          .num("mops", r.mops)
-          .num("shared_rmws_per_op", r.shared_rmws_per_op);
-    }
-    // --- batched: one CAS on the slot's OWN line per stamp; the SHARED
-    // block counter is touched once per k stamps. provisioned()/k counts
-    // exactly those shared fetch_adds.
-    {
-      timebase::BatchedCounter bc(threads, kBatch);
-      StampResult r =
-          run_stamp_loop(threads, [&](int t) { return bc.acquire(t); });
-      const double shared_rmws =
-          static_cast<double>(bc.provisioned()) / kBatch;
-      r.shared_rmws_per_op = shared_rmws / static_cast<double>(r.ops);
-      std::printf("%8d %-12s %10.1f %8llu %20.4f\n", threads, "batched",
-                  r.mops, static_cast<unsigned long long>(r.ops),
-                  r.shared_rmws_per_op);
-      doc.row()
-          .str("section", "stamp")
-          .str("timebase", "batched")
-          .num("threads", threads)
-          .num("batch", kBatch)
-          .num("shards", 0)
-          .num("stride", 0)
           .num("ops", r.ops)
           .num("seconds", r.seconds)
           .num("mops", r.mops)
@@ -224,9 +161,7 @@ int run(int argc, char** argv) {
           .str("section", "stamp")
           .str("timebase", "sharded")
           .num("threads", threads)
-          .num("batch", 0)
           .num("shards", clk.shards())
-          .num("stride", 0)
           .num("ops", r.ops)
           .num("seconds", r.seconds)
           .num("mops", r.mops)
@@ -235,7 +170,7 @@ int run(int argc, char** argv) {
   }
 
   if (!skip_bank) {
-    std::printf("\nBank end-to-end, baseline vs scaled timebase options\n");
+    std::printf("\nBank end-to-end, global vs sharded transaction ids\n");
     std::printf("%8s %-10s %-9s %14s %14s\n", "threads", "system", "config",
                 "transfer/s", "compute-tot/s");
     for (int threads : thread_counts) {
@@ -243,16 +178,9 @@ int run(int argc, char** argv) {
       p.threads = threads;
       p.duration = std::chrono::milliseconds(bank_ms);
       for (const std::string& name : api::variant_names()) {
-        for (const bool scaled : {false, true}) {
+        for (const bool sharded : {false, true}) {
           api::CommonConfig cfg = bank_config(p);
-          if (scaled) {
-            cfg.time_base = timebase::TimeBaseKind::kBatchedCounter;
-            cfg.timebase_batch = kBatch;
-            cfg.tl2_clock_stride = kStride;
-            cfg.sharded_tx_ids = true;
-          } else {
-            cfg.sharded_tx_ids = false;  // pre-§10 behavior end to end
-          }
+          cfg.sharded_tx_ids = sharded;
           long conserved = 0;
           const BankResult b = api::visit_variant(
               name, cfg,
@@ -264,7 +192,7 @@ int run(int argc, char** argv) {
             std::fprintf(stderr, "conservation violated: %s\n", name.c_str());
             return 1;
           }
-          const char* label = scaled ? "scaled" : "baseline";
+          const char* label = sharded ? "sharded-ids" : "baseline";
           std::printf("%8d %-10s %-9s %14.0f %14.1f\n", threads, name.c_str(),
                       label, b.transfer_per_s, b.compute_total_per_s);
           doc.row()
@@ -272,9 +200,7 @@ int run(int argc, char** argv) {
               .str("system", name)
               .str("config", label)
               .num("threads", threads)
-              .num("batch", scaled ? kBatch : 0)
               .num("shards", 0)
-              .num("stride", scaled ? kStride : 0)
               .num("transfer_per_s", b.transfer_per_s)
               .num("compute_total_per_s", b.compute_total_per_s)
               .num("compute_total_failures", b.compute_total_failures);

@@ -42,20 +42,30 @@ namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// noinline, all six: once GCC inlines one side of a replacement pair into
+// a caller that also sees the other side, -Wmismatched-new-delete pairs
+// the malloc() inside `new` with an opaque `delete` (release build) or
+// the free() inside `delete` with an opaque `new` (ASan build) and fails
+// the -Werror build. With both sides out of line, the pairing is
+// new/delete again.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 // ---------------------------------------------------------------------------
 

@@ -176,20 +176,11 @@ struct CommonConfig {
   bool track_readonly_readsets = true;
   /// "cs-r" only: r, the number of plausible-clock entries (§4.3).
   int plausible_entries = 4;
-  /// lsa/lsa-nors/zl only: the scalar commit timebase (DESIGN.md §10).
-  /// kBatchedCounter leases blocks of `timebase_batch` ticks per thread;
-  /// the ZSTM_TIMEBASE env var overrides either setting.
-  timebase::TimeBaseKind time_base = timebase::TimeBaseKind::kCounter;
-  int timebase_batch = 64;
   /// All runtimes: topology-sharded transaction/object ids (identity only).
   /// ZSTM_SHARDED_IDS=0 overrides.
   bool sharded_tx_ids = true;
   /// Object runtimes: EBR attempts a global epoch advance every Nth retire.
   int ebr_collect_period = 64;
-  /// tl2 only: 0 keeps the classic fetch_add commit clock (GV1); >= 1
-  /// selects the GV4/GV5-style single-CAS scheme with this stride
-  /// (documented false-abort cost, never correctness).
-  int tl2_clock_stride = 0;
   /// Façade-level: every N commits a thread makes, it also runs
   /// `maintain()` (S-STM's quiescent descriptor trim; a no-op elsewhere).
   /// This is the fallback trigger for callers without a housekeeping
@@ -249,8 +240,6 @@ Cfg lower_common(const CommonConfig& c) {
 inline lsa::Config lower_lsa(const CommonConfig& c) {
   lsa::Config cfg = lower_common<lsa::Config>(c);
   cfg.track_readonly_readsets = c.track_readonly_readsets;
-  cfg.time_base = c.time_base;
-  cfg.timebase_batch = c.timebase_batch;
   return cfg;
 }
 
@@ -579,10 +568,6 @@ struct Adapter<tl2::Runtime> {
     cfg.use_node_pool = c.use_node_pool;
     cfg.record_history = c.record_history;
     cfg.sharded_tx_ids = c.sharded_tx_ids;
-    if (c.tl2_clock_stride > 0) {
-      cfg.clock_scheme = tl2::ClockScheme::kCasStride;
-      cfg.clock_stride = c.tl2_clock_stride;
-    }
     return std::make_unique<Runtime>(cfg);
   }
   static std::unique_ptr<Ctx> attach(Runtime& rt) { return rt.attach(); }

@@ -3,8 +3,8 @@
 //
 // A *failpoint site* is a named place in a protocol where the rare
 // interleaving lives: the settle/install CAS races in the object substrate,
-// the per-runtime acquire/arbitrate loops, tl2's stripe-lock acquisition
-// and commit revalidation, the timebase lease fence, EBR retirement, and
+// the shared acquire/arbitrate loop (one site per runtime), tl2's
+// stripe-lock acquisition and commit revalidation, EBR retirement, and
 // node-pool allocation. Each site calls `fault::poke(Site)`; the registry
 // decides — deterministically, from a seed and the site's hit ordinal —
 // whether to inject an *effect*:
@@ -52,15 +52,16 @@ namespace zstm::fault {
 enum class Site : int {
   kStoreSettleCas = 0,  ///< ObjectStore::settle, before the locator CAS
   kStoreInstallCas,     ///< ObjectStore::install, before the locator CAS
-  kLsaAcquire,          ///< lsa::Tx::write_object arbitrate loop
-  kCsAcquire,           ///< cs RuntimeT::Tx::write_object arbitrate loop
-  kSstmAcquire,         ///< sstm::Tx::write_object arbitrate loop
-  kZlAcquire,           ///< zl::LongTx::acquire_ready_locator loop
-  kTl2StripeLock,       ///< tl2 commit: per-stripe lock acquisition
-  kTl2Revalidate,       ///< tl2 commit: read-set revalidation
-  kTimebaseLeaseFence,  ///< BatchedCounter::fence_after (delay only)
-  kEbrRetire,           ///< EpochManager::retire_raw (delay only)
-  kPoolAlloc,           ///< NodePool::create / tl2 snapshot buffers (OOM)
+  // The four acquire sites are poked by the one ObjectStore::ready_locator
+  // loop; each runtime passes its own in its AcquireSpec.
+  kLsaAcquire,       ///< lsa::Tx::write_object
+  kCsAcquire,        ///< cs RuntimeT::Tx::write_object
+  kSstmAcquire,      ///< sstm::Tx::write_object
+  kZlAcquire,        ///< zl::LongTx::read_object / write_object
+  kTl2StripeLock,    ///< tl2 commit: per-stripe lock acquisition
+  kTl2Revalidate,    ///< tl2 commit: read-set revalidation
+  kEbrRetire,        ///< EpochManager::retire_raw (delay only)
+  kPoolAlloc,        ///< NodePool::create / tl2 snapshot buffers (OOM)
   // Networked front end (src/net/, DESIGN.md §13). In this layer the
   // effects are reinterpreted against the wire, not a transaction:
   // kCasFail means "take the failure path of this I/O step".

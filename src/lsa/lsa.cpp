@@ -1,8 +1,5 @@
 #include "lsa/lsa.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "fault/failpoint.hpp"
 
 namespace zstm::lsa {
@@ -10,27 +7,9 @@ namespace zstm::lsa {
 namespace {
 
 timebase::ScalarTimeBase make_time_base(const Config& cfg) {
-  timebase::TimeBaseKind kind = cfg.time_base;
-  // Experiment escape hatch: override the configured timebase globally
-  // without touching call sites (same spirit as ZSTM_POOL=0).
-  if (const char* e = std::getenv("ZSTM_TIMEBASE")) {
-    const std::string_view v(e);
-    if (v == "global") {
-      kind = timebase::TimeBaseKind::kCounter;
-    } else if (v == "sync") {
-      kind = timebase::TimeBaseKind::kSyncClock;
-    } else if (v == "batched") {
-      kind = timebase::TimeBaseKind::kBatchedCounter;
-    }
-  }
-  switch (kind) {
-    case timebase::TimeBaseKind::kSyncClock:
-      return timebase::ScalarTimeBase(cfg.max_threads, cfg.clock_deviation,
-                                      cfg.seed);
-    case timebase::TimeBaseKind::kBatchedCounter:
-      return timebase::ScalarTimeBase(cfg.max_threads, cfg.timebase_batch);
-    case timebase::TimeBaseKind::kCounter:
-      break;
+  if (cfg.time_base == timebase::TimeBaseKind::kSyncClock) {
+    return timebase::ScalarTimeBase(cfg.max_threads, cfg.clock_deviation,
+                                    cfg.seed);
   }
   return timebase::ScalarTimeBase();
 }
@@ -52,21 +31,12 @@ Runtime::Runtime(Config cfg)
       cm_(cm::make_manager(cfg.cm_policy)),
       id_clock_(cfg.max_threads, /*shards=*/cfg.max_threads),
       sharded_ids_(timebase::sharded_ids_enabled(cfg.sharded_tx_ids)),
-      store_(pool_, epochs_, stats_, object::retention_policy(cfg)) {
-  // A detaching thread abandons its timebase lease (batched counter);
-  // otherwise a dead slot's low lease would pin now_floor() forever.
-  timebase_listener_ = registry_.add_release_listener(
-      [this](int slot) { timebase_.release_slot(slot); });
-}
+      store_(pool_, epochs_, stats_, object::retention_policy(cfg)) {}
 
 // All worker threads must be detached by now; the store tears down the live
 // objects single-threaded, and the EpochManager's destructor (drain_all)
 // frees retired locators/versions/descriptors — disjoint sets.
-Runtime::~Runtime() {
-  if (timebase_listener_ >= 0) {
-    registry_.remove_release_listener(timebase_listener_);
-  }
-}
+Runtime::~Runtime() = default;
 
 std::unique_ptr<ThreadCtx> Runtime::attach() {
   return std::unique_ptr<ThreadCtx>(new ThreadCtx(*this, registry_.attach()));
@@ -91,6 +61,16 @@ Tx& ThreadCtx::begin(bool read_only) {
                                       runtime::TxClass::kShort);
   tx.desc_->set_start_ticks(rt_.next_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
+  if (rt_.recorder_.enabled()) {
+    // The begin tick precedes the snapshot: a transaction may serialize
+    // at its snapshot time (read-only, in the past), so a commit that
+    // finished before this tick must be inside the snapshot.
+    tx.rec_ = history::TxRecord{};
+    tx.rec_.tx_id = next_tx_id_;
+    tx.rec_.thread_slot = slot();
+    tx.rec_.tx_class = runtime::TxClass::kShort;
+    tx.rec_.begin_seq = rt_.recorder_.tick();
+  }
   tx.lb_ = 0;
   tx.ub_ = rt_.timebase_.now_snapshot(slot());
   // Program order: never snapshot before this thread's last serialization
@@ -103,13 +83,6 @@ Tx& ThreadCtx::begin(bool read_only) {
   force_track_reads_once_ = false;
   tx.read_set_.clear();
   tx.write_set_.clear();
-  if (rt_.recorder_.enabled()) {
-    tx.rec_ = history::TxRecord{};
-    tx.rec_.tx_id = next_tx_id_;
-    tx.rec_.thread_slot = slot();
-    tx.rec_.tx_class = runtime::TxClass::kShort;
-    tx.rec_.begin_seq = rt_.recorder_.tick();
-  }
   return tx;
 }
 
@@ -141,16 +114,22 @@ void ThreadCtx::abort_attempt() {
   finish_attempt(false);
 }
 
+void ThreadCtx::begin_commit(std::memory_order order) {
+  if (!tx_.desc_->begin_commit(order)) {
+    // An enemy aborted us between the last open and the commit.
+    abort_attempt();
+    throw TxAborted{};
+  }
+}
+
 void ThreadCtx::commit() {
   Tx& tx = tx_;
   TxDesc* d = tx.desc_;
   Runtime& rt = rt_;
   const int s = slot();
 
-  if (!d->begin_commit()) {
-    // An enemy aborted us between the last open and the commit.
-    abort_attempt();
-    throw TxAborted{};
+  if (d->status(std::memory_order_relaxed) != runtime::TxStatus::kCommitting) {
+    begin_commit();
   }
 
   if (!tx.write_set_.empty()) {
@@ -281,63 +260,33 @@ runtime::Payload& Tx::write_object(Object& o) {
     fail(util::Counter::kAborts);
   }
 
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (fault::poke(fault::Site::kLsaAcquire) == fault::Effect::kAbort) {
-      fail(util::Counter::kAborts);
-    }
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    if (l->writer != nullptr && l->writer != desc_) {
-      switch (l->writer->status()) {
-        case runtime::TxStatus::kCommitted:
-        case runtime::TxStatus::kAborted:
-          rt.settle(o, l, s);
-          continue;
-        case runtime::TxStatus::kCommitting:
-          bo.pause();  // short window; its outcome decides our base version
-          continue;
-        case runtime::TxStatus::kActive: {
-          const cm::Decision d =
-              rt.cm_->arbitrate(*desc_, *l->writer, attempt++);
-          if (d == cm::Decision::kAbortOther) {
-            if (l->writer->abort_by_enemy()) {
-              rt.stats_.add(s, util::Counter::kCmKills);
-              rt.settle(o, l, s);
-            }
-            continue;
+  // seq_cst install: Z-STM's zone protocol requires it to be globally
+  // ordered against long transactions' zone-stamp writes (Dekker pair with
+  // zl::LongTx::claim_zone; see zl::ShortTx::verify_zone_after_write).
+  const object::AcquireSpec spec{*rt.cm_, fault::Site::kLsaAcquire,
+                                 std::memory_order_acquire,
+                                 std::memory_order_seq_cst};
+  Version* tent = rt.store_.acquire(
+      o, desc_, spec, s,
+      [&](Version* base) -> Version* {
+        if (base->ts > ub_) {
+          if (!(track_reads_ && try_extend())) {
+            fail(util::Counter::kValidationFails);
           }
-          if (d == cm::Decision::kAbortSelf) fail(util::Counter::kAborts);
-          rt.stats_.add(s, util::Counter::kCmWaits);
-          desc_->set_waiting(true);
-          bo.pause();
-          desc_->set_waiting(false);
-          continue;
+          return nullptr;  // re-resolve after extension
         }
-      }
-      continue;
-    }
-
-    Version* base = l->committed;
-    if (base->ts > ub_) {
-      if (!(track_reads_ && try_extend())) fail(util::Counter::kValidationFails);
-      continue;  // re-resolve after extension
-    }
-    Version* tent = rt.store_.clone_version(s, *base->data);
-    tent->prev.store(base, std::memory_order_relaxed);
-    if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
-    // seq_cst: Z-STM's zone protocol requires this install to be globally
-    // ordered against long transactions' zone-stamp writes (Dekker pair
-    // with zl::LongTx::claim_zone; see zl::ShortTx::verify_zone_after_write).
-    if (rt.store_.install(o, l, desc_, tent, s, std::memory_order_seq_cst)) {
-      write_set_.push_back({&o, tent});
-      if (base->ts > lb_) lb_ = base->ts;
-      desc_->add_work();
-      rt.stats_.add(s, util::Counter::kWrites);
-      return *tent->data;
-    }
-    rt.store_.discard_version(s, tent);
-  }
+        Version* t = rt.store_.clone_version(s, *base->data);
+        t->prev.store(base, std::memory_order_relaxed);
+        if (rt.recorder_.enabled()) t->vid = rt.recorder_.new_version_id();
+        return t;
+      },
+      [this] { fail(util::Counter::kAborts); });
+  write_set_.push_back({&o, tent});
+  const Version* base = tent->prev.load(std::memory_order_relaxed);
+  if (base->ts > lb_) lb_ = base->ts;
+  desc_->add_work();
+  rt.stats_.add(s, util::Counter::kWrites);
+  return *tent->data;
 }
 
 bool Tx::try_extend() {

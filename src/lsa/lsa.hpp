@@ -70,16 +70,11 @@ struct Config {
   int retention_min = 1;
   int retention_max = 64;
   int retention_decay_period = 64;
-  /// Commit timebase (DESIGN.md §10). kCounter is the paper's shared
-  /// counter; kBatchedCounter leases blocks of `timebase_batch` ticks per
-  /// thread (same serializability guarantees — commit pays a lease fence
-  /// instead of a wait). The ZSTM_TIMEBASE environment variable
-  /// (global|sync|batched) overrides this for experiments.
+  /// Commit timebase (DESIGN.md §10): kCounter is the paper's shared
+  /// counter, kSyncClock its simulated synchronized real-time clocks with
+  /// `clock_deviation` as the per-clock deviation bound.
   timebase::TimeBaseKind time_base = timebase::TimeBaseKind::kCounter;
   std::chrono::nanoseconds clock_deviation{0};
-  /// Ticks per lease when time_base == kBatchedCounter (k: the contended
-  /// fetch_add is amortized k×).
-  int timebase_batch = 64;
   cm::Policy cm_policy = cm::Policy::kPolite;
   /// false ⇒ the Figure 6 "LSA-STM (no readsets)" variant for transactions
   /// declared read-only.
@@ -198,6 +193,7 @@ class Tx {
   TxDesc* descriptor() const { return desc_; }
   std::size_t read_set_size() const { return read_set_.size(); }
   std::size_t write_set_size() const { return write_set_.size(); }
+  const std::vector<WriteEntry>& write_set() const { return write_set_; }
 
   // Object-level API (used by Z-STM's wrappers and by tests).
   const runtime::Payload& read_object(Object& o);
@@ -239,6 +235,13 @@ class ThreadCtx {
   /// Commit the current attempt; throws TxAborted on validation failure
   /// (the attempt is already cleaned up when it throws).
   void commit();
+
+  /// The first step of commit(): mark the attempt kCommitting, so that
+  /// other transactions wait for its outcome instead of reading around it.
+  /// Throws TxAborted if an enemy aborted it first. commit() runs it when
+  /// the caller has not; zl::ThreadCtx runs it early (seq_cst) and checks
+  /// zones before the rest of the commit.
+  void begin_commit(std::memory_order order = std::memory_order_acq_rel);
 
   /// Abort the current attempt without throwing (for explicit control in
   /// tests and schedulers).
@@ -395,9 +398,6 @@ class Runtime {
   util::PaddedCounter tx_ids_;
   timebase::ShardedClock id_clock_;
   bool sharded_ids_;
-  /// Registry release-listener id for the timebase slot-teardown hook
-  /// (batched leases must not pin now_floor() after a thread detaches).
-  int timebase_listener_ = -1;
   Store store_;
 };
 

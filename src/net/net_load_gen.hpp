@@ -1,9 +1,9 @@
 // Open-loop load generator for the networked KV front end (DESIGN.md
 // §13.6): the same scheduled-arrival discipline as server/load_gen.hpp —
-// same Zipfian key choice, same op mix, same LoadGenConfig — but driven
-// across TCP, pipelined over `conns` connections, so BENCH_kv_net rows are
-// directly comparable to the in-process BENCH_kv rows (identical knobs,
-// one extra hop).
+// the same server::RequestSource, so the same request stream for a given
+// LoadGenConfig — but driven across TCP, pipelined over `conns`
+// connections, so BENCH_kv_net rows are directly comparable to the
+// in-process BENCH_kv rows (identical knobs, one extra hop).
 //
 // Open-loop honesty across a socket:
 //   * The pacer never blocks on the wire. Sends are MSG_DONTWAIT; a frame
@@ -193,55 +193,25 @@ inline NetLoadResult run_net_open_loop(const std::string& host,
     });
   }
 
-  // The pacer: identical schedule/mix/key machinery to run_open_loop.
-  util::Xorshift rng(cfg.seed);
-  util::Zipfian keys(cfg.keyspace, cfg.zipf_theta, cfg.seed ^ 0x5eedULL);
-  const double interval_ns = 1e9 / cfg.rate;
+  // The pacer: the same RequestSource as run_open_loop, so a seed gives
+  // the same request stream on both rails.
   const std::uint64_t t0 = util::ProgressTracker::now_ns();
-  const std::uint64_t end =
-      t0 + static_cast<std::uint64_t>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   cfg.duration)
-                   .count());
-  double next = static_cast<double>(t0);
+  const std::uint64_t end = server::schedule_end(cfg, t0);
+  server::RequestSource src(cfg, t0);
   std::size_t rr = 0;
 
-  while (static_cast<std::uint64_t>(next) < end) {
-    const std::uint64_t scheduled = static_cast<std::uint64_t>(next);
-    const std::uint64_t now = util::ProgressTracker::now_ns();
-    if (scheduled > now) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(scheduled - now));
-    }
-
+  while (src.scheduled() < end) {
+    server::pace_until(src.scheduled());
+    const server::Request r = src.next();
     wire::Request req;
-    req.req_id = scheduled;  // latency = receipt − req_id at the receiver
-    const double roll = rng.next_unit();
-    double acc = cfg.mix.put;
-    if (roll < acc) {
-      req.op = wire::Op::kPut;
-      req.key = keys.next();
-      req.value = cfg.put_value;
-    } else if (roll < (acc += cfg.mix.del)) {
-      req.op = wire::Op::kDel;
-      req.key = keys.next();
-    } else if (roll < (acc += cfg.mix.multi_get)) {
-      req.op = wire::Op::kMultiGet;
-      const std::uint64_t span =
-          cfg.keyspace > cfg.multi_fanout ? cfg.keyspace - cfg.multi_fanout : 1;
-      req.key = rng.next_below(span);
-      req.fanout = cfg.multi_fanout;
-    } else if (roll < (acc += cfg.mix.scan)) {
-      req.op = wire::Op::kScan;
-    } else if (roll < (acc += cfg.mix.transfer)) {
-      req.op = wire::Op::kTransfer;
-      req.key = keys.next();
-      req.key2 = keys.next();
-      if (req.key2 == req.key) req.key2 = (req.key + 1) % cfg.keyspace;
-      req.value = cfg.transfer_amount;
-    } else {
-      req.op = wire::Op::kGet;
-      req.key = keys.next();
-    }
+    // server::Op and wire::Op share the service verbs' values
+    // (static_asserts in tcp_server.cpp).
+    req.op = static_cast<wire::Op>(r.op);
+    req.req_id = r.arrival_ns;  // latency = receipt − req_id at the receiver
+    req.key = r.key;
+    req.key2 = r.key2;
+    req.value = r.value;
+    req.fanout = r.fanout;
 
     ++res.offered;
     std::uint8_t buf[wire::kReqFrame];
@@ -253,14 +223,6 @@ inline NetLoadResult run_net_open_loop(const std::string& host,
       ++res.io_errors;
     } else {
       ++res.client_shed;
-    }
-
-    if (cfg.poisson) {
-      double u = rng.next_unit();
-      if (u <= 1e-12) u = 1e-12;
-      next += -std::log(u) * interval_ns;
-    } else {
-      next += interval_ns;
     }
   }
 

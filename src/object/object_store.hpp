@@ -16,6 +16,12 @@
 //                            parameter because Z-STM's zone protocol needs
 //                            the install globally ordered (seq_cst Dekker
 //                            pair, DESIGN.md §5.1).
+//   * acquire              — the ownership protocol every runtime's
+//                            write path runs: settle a finished writer,
+//                            wait out a committing one, ask the contention
+//                            manager about an active one, then install
+//                            (ready_locator is the same loop without the
+//                            install, for Z-STM's long reads).
 //   * prune                — bound the committed chain, retiring detached
 //                            suffixes through EBR.
 //   * successor_of         — chain walking: the immediate successor of a
@@ -52,6 +58,7 @@
 #include <mutex>
 #include <vector>
 
+#include "cm/contention_manager.hpp"
 #include "fault/failpoint.hpp"
 #include "object/node_pool.hpp"
 #include "object/versioned.hpp"
@@ -84,6 +91,26 @@ struct RetentionPolicy {
   /// Adaptive decay: consecutive prunes without a too-old abort before the
   /// bound shrinks by one.
   int decay_period = 64;
+};
+
+/// The per-runtime parameters of ObjectStore::acquire / ready_locator.
+struct AcquireSpec {
+  cm::ContentionManager& cm;
+  /// The runtime's `*.acquire` failpoint, poked once per loop iteration.
+  fault::Site site;
+  /// Load of the object's locator. Z-STM's long transactions make it
+  /// seq_cst: the second half of the Dekker pair started by claim_zone.
+  std::memory_order load = std::memory_order_acquire;
+  /// Install CAS (see install()); lsa's short transactions make it seq_cst.
+  std::memory_order install = std::memory_order_acq_rel;
+};
+
+/// Backoff and contention-manager attempt count of one ownership request.
+/// acquire() keeps one across failed installs, so a CM's patience and the
+/// backoff escalate over the whole request, not per install attempt.
+struct Contention {
+  util::Backoff bo;
+  std::uint32_t attempt = 0;
 };
 
 /// Builds the store policy from the retention knobs every runtime Config in
@@ -324,6 +351,74 @@ class ObjectStore {
     }
     put_spare_locator(slot, nl);
     return false;
+  }
+
+  /// Wait until no live foreign writer owns `o` and return the locator seen
+  /// then (its writer is null or `self`). A committed or aborted writer is
+  /// settled, a committing one is waited out (its outcome decides the base
+  /// version), and an active one goes to the contention manager: kAbortOther
+  /// kills it (kCmKills), kWait backs off (kCmWaits), and kAbortSelf calls
+  /// `abort`, the runtime's abort path, which must not return. `spec.site`
+  /// is poked at the top of every iteration; kAbort there calls `abort` too.
+  template <typename Abort>
+  Locator* ready_locator(Object& o, Desc* self, const AcquireSpec& spec,
+                         int slot, Abort&& abort, Contention& c) {
+    for (;;) {
+      if (fault::poke(spec.site) == fault::Effect::kAbort) abort();
+      Locator* l = o.loc.load(spec.load);
+      if (l->writer == nullptr || l->writer == self) return l;
+      switch (l->writer->status()) {
+        case runtime::TxStatus::kCommitted:
+        case runtime::TxStatus::kAborted:
+          settle(o, l, slot);
+          continue;
+        case runtime::TxStatus::kCommitting:
+          c.bo.pause();  // short window; its outcome decides our base version
+          continue;
+        case runtime::TxStatus::kActive:
+          break;
+      }
+      const cm::Decision d = spec.cm.arbitrate(*self, *l->writer, c.attempt++);
+      if (d == cm::Decision::kAbortOther) {
+        if (l->writer->abort_by_enemy()) {
+          stats_.add(slot, util::Counter::kCmKills);
+          settle(o, l, slot);
+        }
+        continue;
+      }
+      if (d == cm::Decision::kAbortSelf) abort();
+      stats_.add(slot, util::Counter::kCmWaits);
+      self->set_waiting(true);
+      c.bo.pause();
+      self->set_waiting(false);
+    }
+  }
+
+  template <typename Abort>
+  Locator* ready_locator(Object& o, Desc* self, const AcquireSpec& spec,
+                         int slot, Abort&& abort) {
+    Contention c;
+    return ready_locator(o, self, spec, slot, abort, c);
+  }
+
+  /// Acquire write ownership of `o` for `self` and return the installed
+  /// tentative version. Each round waits for a ready locator, then hands
+  /// its committed version to `on_base`, the runtime's hook: it returns a
+  /// fresh tentative version (clone_version, prev linked to the base), or
+  /// nullptr to re-examine the object (lsa after a snapshot extension), or
+  /// leaves through the runtime's abort path. A lost install discards the
+  /// tentative version and starts the next round.
+  template <typename OnBase, typename Abort>
+  Version* acquire(Object& o, Desc* self, const AcquireSpec& spec, int slot,
+                   OnBase&& on_base, Abort&& abort) {
+    Contention c;
+    for (;;) {
+      Locator* l = ready_locator(o, self, spec, slot, abort, c);
+      Version* tent = on_base(l->committed);
+      if (tent == nullptr) continue;
+      if (install(o, l, self, tent, slot, spec.install)) return tent;
+      discard_version(slot, tent);
+    }
   }
 
   /// Bound the committed chain at the object's current retention bound and

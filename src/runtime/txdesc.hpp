@@ -62,10 +62,11 @@ class TxDescBase {
   }
 
   /// Self transition kActive → kCommitting; fails if an enemy won the race.
-  bool begin_commit() {
+  /// Z-STM's short commit makes it seq_cst (see zl::ThreadCtx::commit_short).
+  bool begin_commit(std::memory_order order = std::memory_order_acq_rel) {
     TxStatus expected = TxStatus::kActive;
     return status_.compare_exchange_strong(expected, TxStatus::kCommitting,
-                                           std::memory_order_acq_rel);
+                                           order);
   }
 
   /// The linearization point: release-publishes every field written during

@@ -478,60 +478,25 @@ runtime::Payload& Tx::write_object(Object& o) {
   Runtime& rt = ctx_.rt_;
   const int s = ctx_.slot();
 
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (fault::poke(fault::Site::kSstmAcquire) == fault::Effect::kAbort) {
-      fail(util::Counter::kAborts);
-    }
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    if (l->writer != nullptr && l->writer != desc_) {
-      switch (l->writer->status()) {
-        case runtime::TxStatus::kCommitted:
-        case runtime::TxStatus::kAborted:
-          rt.settle(o, l, s);
-          continue;
-        case runtime::TxStatus::kCommitting:
-          bo.pause();
-          continue;
-        case runtime::TxStatus::kActive: {
-          const cm::Decision dec =
-              rt.cm_->arbitrate(*desc_, *l->writer, attempt++);
-          if (dec == cm::Decision::kAbortOther) {
-            if (l->writer->abort_by_enemy()) {
-              rt.stats_.add(s, util::Counter::kCmKills);
-              rt.settle(o, l, s);
-            }
-            continue;
-          }
-          if (dec == cm::Decision::kAbortSelf) fail(util::Counter::kAborts);
-          rt.stats_.add(s, util::Counter::kCmWaits);
-          desc_->set_waiting(true);
-          bo.pause();
-          desc_->set_waiting(false);
-          continue;
-        }
-      }
-      continue;
-    }
-    Version* base = l->committed;
-    desc_->ct.merge(base->ct);
-    absorb_past_readers(base);
-    // Pool-backed stamp storage, mirroring cs.hpp: keeps the update path
-    // free of hidden per-commit heap mallocs.
-    Version* tent = rt.store_.clone_version(
-        s, *base->data,
-        rt.domain_.zero_in(rt.pool_.enabled() ? &rt.pool_ : nullptr, s));
-    tent->prev.store(base, std::memory_order_relaxed);
-    if (rt.recorder_.enabled()) tent->vid = rt.recorder_.new_version_id();
-    if (rt.store_.install(o, l, desc_, tent, s)) {
-      write_set_.push_back({&o, tent});
-      desc_->add_work();
-      rt.stats_.add(s, util::Counter::kWrites);
-      return *tent->data;
-    }
-    rt.store_.discard_version(s, tent);
-  }
+  Version* tent = rt.store_.acquire(
+      o, desc_, {*rt.cm_, fault::Site::kSstmAcquire}, s,
+      [&](Version* base) {
+        desc_->ct.merge(base->ct);
+        absorb_past_readers(base);
+        // Pool-backed stamp storage, mirroring cs.hpp: keeps the update
+        // path free of hidden per-commit heap mallocs.
+        Version* t = rt.store_.clone_version(
+            s, *base->data,
+            rt.domain_.zero_in(rt.pool_.enabled() ? &rt.pool_ : nullptr, s));
+        t->prev.store(base, std::memory_order_relaxed);
+        if (rt.recorder_.enabled()) t->vid = rt.recorder_.new_version_id();
+        return t;
+      },
+      [this] { fail(util::Counter::kAborts); });
+  write_set_.push_back({&o, tent});
+  desc_->add_work();
+  rt.stats_.add(s, util::Counter::kWrites);
+  return *tent->data;
 }
 
 }  // namespace zstm::sstm

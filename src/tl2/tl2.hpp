@@ -70,20 +70,6 @@ namespace zstm::tl2 {
 /// inside Runtime::run must let it propagate (the façade contract).
 struct TxAborted {};
 
-/// How update commits advance the global version clock (DESIGN.md §10).
-enum class ClockScheme {
-  /// Classic TL2 / GV1: one fetch_add per update commit. Every committer
-  /// serializes on the clock's cache line.
-  kFetchAdd,
-  /// GV4/GV5-style relaxed scheme: one CAS attempt advancing the clock by
-  /// `clock_stride`; a committer that loses the race *adopts* the winner's
-  /// value as its own commit time instead of retrying, so the clock line
-  /// is written at most once per race cohort. Costs false aborts (adopters
-  /// always revalidate, and larger strides age readers' rv faster) — never
-  /// correctness; see the commit-path comment for the argument.
-  kCasStride,
-};
-
 struct Config {
   int max_threads = 36;
   /// log2 of the versioned-lock table size. 2^16 * 8 bytes = 512 KiB.
@@ -96,9 +82,6 @@ struct Config {
   /// overrides to false.
   bool use_node_pool = true;
   bool record_history = false;
-  ClockScheme clock_scheme = ClockScheme::kFetchAdd;
-  /// Clock increment per successful CAS under kCasStride (clamped >= 1).
-  int clock_stride = 1;
   /// Draw history transaction ids from a topology-sharded clock (identity
   /// only — nothing orders by tx id). ZSTM_SHARDED_IDS=0 overrides.
   bool sharded_tx_ids = true;

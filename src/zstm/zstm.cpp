@@ -42,6 +42,22 @@ ShortTx& ThreadCtx::begin_short(bool read_only) {
 }
 
 void ThreadCtx::commit_short() {
+  if (short_tx_.inner_->write_set_size() != 0) {
+    // A long transaction that claims an object we wrote after our
+    // write-time zone check, while we are still active, makes the shorts
+    // of its zone read around our tentative version; if we then committed
+    // in our older zone, a short of the long's zone that read the old
+    // value would be serialized both after the long (by zone) and before
+    // us (by what it read), and the long reads our version. So re-check
+    // every written object once we are kCommitting: a claim after this
+    // check finds us committing, and every later reader waits for our
+    // outcome. The seq_cst status CAS and zone loads pair with
+    // claim_zone's seq_cst store.
+    inner_->begin_commit(std::memory_order_seq_cst);
+    for (const lsa::WriteEntry& w : short_tx_.inner_->write_set()) {
+      short_tx_.verify_zone_after_write(*w.obj);
+    }
+  }
   // Record the zone before CommitLSA so the history carries it, and stamp
   // it onto published versions so long transactions can recognize commits
   // from their own zone (see LongTx::read_object).
@@ -120,7 +136,8 @@ runtime::Payload& ShortTx::write_object(lsa::Object& o) {
 void ShortTx::verify_zone_after_write(lsa::Object& o) {
   Runtime& rt = ctx_.rt_;
   // seq_cst load after our seq_cst locator install (in lsa::Tx::
-  // write_object): pairs with LongTx::claim_zone + acquire_ready_locator.
+  // write_object): pairs with LongTx::claim_zone + the seq_cst locator load
+  // of its acquire_spec().
   const std::uint64_t ozc = o.zc.load(std::memory_order_seq_cst);
   if (ozc == zc_) return;
   // A long transaction claimed this object between our zone check and our
@@ -282,11 +299,12 @@ void LongTx::abort() {
 }
 
 void LongTx::claim_zone(lsa::Object& o) {
-  // seq_cst: this store and the subsequent locator load in
-  // acquire_ready_locator form one half of a Dekker pair with short
-  // transactions' locator-install + zone-re-check (ShortTx::
-  // verify_zone_after_write). At least one side must observe the other or
-  // a short could commit writes that straddle our snapshot frontier.
+  // seq_cst: this store and the subsequent locator load (acquire_spec's
+  // load order in ObjectStore::ready_locator) form one half of a Dekker
+  // pair with short transactions' locator-install + zone-re-check
+  // (ShortTx::verify_zone_after_write). At least one side must observe the
+  // other or a short could commit writes that straddle our snapshot
+  // frontier.
   std::uint64_t cur = o.zc.load(std::memory_order_seq_cst);
   for (;;) {
     if (cur == zc_) return;  // we already claimed this object
@@ -305,53 +323,15 @@ void LongTx::claim_zone(lsa::Object& o) {
   }
 }
 
-lsa::Locator* LongTx::acquire_ready_locator(lsa::Object& o) {
-  lsa::Runtime& sub = ctx_.rt_.lsa_;
-  const int s = ctx_.slot();
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (fault::poke(fault::Site::kZlAcquire) == fault::Effect::kAbort) {
-      ctx_.abort_long_attempt();
-      throw TxAborted{};
-    }
-    // seq_cst: second half of the Dekker pair started in claim_zone.
-    lsa::Locator* l = o.loc.load(std::memory_order_seq_cst);
-    if (l->writer == nullptr || l->writer == desc_) return l;
-    switch (l->writer->status()) {
-      case runtime::TxStatus::kCommitted:
-      case runtime::TxStatus::kAborted:
-        sub.settle(o, l, s);
-        continue;
-      case runtime::TxStatus::kCommitting:
-        bo.pause();
-        continue;
-      case runtime::TxStatus::kActive: {
-        // Openlong lines 8-11: arbitrate with the current writer. A long
-        // transaction must not leave active writers behind on objects it
-        // reads — a short transaction that already owns the object could
-        // otherwise commit writes serialized both before and after us.
-        const cm::Decision dec =
-            sub.contention_manager().arbitrate(*desc_, *l->writer, attempt++);
-        if (dec == cm::Decision::kAbortOther) {
-          if (l->writer->abort_by_enemy()) {
-            sub.stats_domain().add(s, util::Counter::kCmKills);
-            sub.settle(o, l, s);
-          }
-          continue;
-        }
-        if (dec == cm::Decision::kAbortSelf) {
-          ctx_.abort_long_attempt();
-          throw TxAborted{};
-        }
-        sub.stats_domain().add(s, util::Counter::kCmWaits);
-        desc_->set_waiting(true);
-        bo.pause();
-        desc_->set_waiting(false);
-        continue;
-      }
-    }
-  }
+object::AcquireSpec LongTx::acquire_spec() {
+  // Openlong lines 8-11: arbitrate with the current writer. A long
+  // transaction must not leave active writers behind on objects it reads —
+  // a short transaction that already owns the object could otherwise
+  // commit writes serialized both before and after us. The seq_cst
+  // locator load is the second half of the Dekker pair started in
+  // claim_zone.
+  return {ctx_.rt_.lsa_.contention_manager(), fault::Site::kZlAcquire,
+          std::memory_order_seq_cst};
 }
 
 lsa::WriteEntry* LongTx::find_write(const lsa::Object& o) {
@@ -369,7 +349,8 @@ const runtime::Payload& LongTx::read_object(lsa::Object& o) {
   sub.stats_domain().add(s, util::Counter::kReads);
 
   claim_zone(o);
-  lsa::Locator* l = acquire_ready_locator(o);
+  lsa::Locator* l = sub.store().ready_locator(o, desc_, acquire_spec(), s,
+                                              [this] { abort(); });
   // The paper's Openlong is one atomic step; in our implementation a short
   // transaction can adopt our zone (it read o.zc after our claim), commit
   // a write to o, and only then do we load the version — returning state
@@ -397,27 +378,26 @@ runtime::Payload& LongTx::write_object(lsa::Object& o) {
   const int s = ctx_.slot();
 
   claim_zone(o);
-  for (;;) {
-    lsa::Locator* l = acquire_ready_locator(o);
-    lsa::Version* base = l->committed;
-    if (base->zone >= zc_) {
-      // A commit from our own zone (serialized after us) or a later long
-      // is already current: our write can no longer be inserted before it.
-      sub.stats_domain().add(s, util::Counter::kZoneConflicts);
-      ctx_.abort_long_attempt();
-      throw TxAborted{};
-    }
-    lsa::Version* tent = sub.store().clone_version(s, *base->data);
-    tent->prev.store(base, std::memory_order_relaxed);
-    if (sub.recorder().enabled()) tent->vid = sub.recorder().new_version_id();
-    if (sub.store().install(o, l, desc_, tent, s)) {
-      write_set_.push_back({&o, tent});
-      desc_->add_work();
-      sub.stats_domain().add(s, util::Counter::kWrites);
-      return *tent->data;
-    }
-    sub.store().discard_version(s, tent);
-  }
+  lsa::Version* tent = sub.store().acquire(
+      o, desc_, acquire_spec(), s,
+      [&](lsa::Version* base) {
+        if (base->zone >= zc_) {
+          // A commit from our own zone (serialized after us) or a later long
+          // is already current: our write can no longer be inserted before
+          // it.
+          sub.stats_domain().add(s, util::Counter::kZoneConflicts);
+          abort();
+        }
+        lsa::Version* t = sub.store().clone_version(s, *base->data);
+        t->prev.store(base, std::memory_order_relaxed);
+        if (sub.recorder().enabled()) t->vid = sub.recorder().new_version_id();
+        return t;
+      },
+      [this] { abort(); });
+  write_set_.push_back({&o, tent});
+  desc_->add_work();
+  sub.stats_domain().add(s, util::Counter::kWrites);
+  return *tent->data;
 }
 
 }  // namespace zstm::zl

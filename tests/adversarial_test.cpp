@@ -45,7 +45,9 @@ TEST(Adversarial, SstmRoundsStaySerializable) {
             });
           } else {
             rt.run(*th, [&](sstm::Tx& tx) {
-              tx.write(vars[b]) += tx.read(vars[a]) + 1;
+              const long v = tx.read(vars[a]);
+              long& dst = tx.write(vars[b]);
+              dst = test_env::wrapped_bump(dst, v);
             });
           }
         }
@@ -135,7 +137,9 @@ TEST(Adversarial, LsaRoundsStayStrictlySerializable) {
                 /*read_only=*/rng.chance(0.5));
           } else {
             rt.run(*th, [&](lsa::Tx& tx) {
-              tx.write(vars[b]) += tx.read(vars[a]) + 1;
+              const long v = tx.read(vars[a]);
+              long& dst = tx.write(vars[b]);
+              dst = test_env::wrapped_bump(dst, v);
             });
           }
         }
@@ -181,7 +185,9 @@ TEST(Adversarial, CsRoundsSatisfyCausalConditions) {
               (void)tx.read(vars[a]);
               (void)tx.read(vars[b]);
             } else {
-              tx.write(vars[b]) += tx.read(vars[a]) + 1;
+              const long v = tx.read(vars[a]);
+              long& dst = tx.write(vars[b]);
+              dst = test_env::wrapped_bump(dst, v);
             }
           });
         }

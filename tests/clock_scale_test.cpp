@@ -1,204 +1,22 @@
-// Tests for the scalable-timebase layer (DESIGN.md §10): the batched lease
-// counter, the topology-sharded clock, the cache-topology discovery
-// helpers, and the ScalarTimeBase/registry wiring on top of them.
+// Tests for the scalable-timebase layer (DESIGN.md §10): the
+// topology-sharded clock, the cache-topology discovery helpers, and the
+// registry wiring on top of them.
 //
-// CTest label: `unit`. Also runs under the tsan preset, which is the
-// intended concurrency check for the lease/fence protocol.
+// CTest label: `unit`. Also runs under the tsan preset (tsan-clock), which
+// is the intended concurrency check for the sharded clock's lanes.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "timebase/batched_counter.hpp"
-#include "timebase/scalar_timebase.hpp"
 #include "timebase/sharded_clock.hpp"
 #include "util/cpu_topology.hpp"
 #include "util/thread_registry.hpp"
 
 namespace zstm::timebase {
 namespace {
-
-// --- BatchedCounter: single-thread lease mechanics ---------------------------
-
-TEST(BatchedCounter, SingleThreadTicksAreStrictlyIncreasing) {
-  BatchedCounter c(4, 8);
-  std::uint64_t prev = 0;
-  for (int i = 0; i < 100; ++i) {
-    const std::uint64_t t = c.acquire(0);
-    EXPECT_GT(t, prev);
-    prev = t;
-  }
-}
-
-TEST(BatchedCounter, LeaseExhaustionRollsOverToFreshBlock) {
-  // k = 3: the first lease is block 0 = ticks {1, 2, 3}; the fourth
-  // acquire must come from a later block, skipping nothing it issued.
-  BatchedCounter c(2, 3);
-  EXPECT_EQ(c.acquire(0), 1u);
-  EXPECT_EQ(c.acquire(0), 2u);
-  EXPECT_EQ(c.acquire(0), 3u);
-  EXPECT_EQ(c.acquire(0), 4u);  // block 1 starts at 3*1 + 1
-  EXPECT_EQ(c.provisioned(), 6u);
-}
-
-TEST(BatchedCounter, FloorForcesReleaseAboveIt) {
-  BatchedCounter c(2, 64);
-  const std::uint64_t a = c.acquire(0);  // 1, leases [1, 64] on slot 0
-  EXPECT_EQ(a, 1u);
-  // Slot 1 asks for a tick above a floor deep inside slot 0's lease: its
-  // own fresh lease (block 1, base 64) already clears it.
-  const std::uint64_t b = c.acquire(1, /*floor=*/40);
-  EXPECT_GT(b, 40u);
-  EXPECT_EQ(b, 65u);
-}
-
-TEST(BatchedCounter, FloorInsideOwnLeaseSkipsForward) {
-  BatchedCounter c(1, 8);
-  EXPECT_EQ(c.acquire(0), 1u);
-  // The remaining lease [2, 8] is all <= 10, so the slot must re-lease.
-  const std::uint64_t t = c.acquire(0, /*floor=*/10);
-  EXPECT_GT(t, 10u);
-  // And the next plain acquire continues above it.
-  EXPECT_GT(c.acquire(0), t);
-}
-
-// --- BatchedCounter: now_floor / fence_after ---------------------------------
-
-TEST(BatchedCounter, NowFloorIsZeroBeforeAnyLease) {
-  BatchedCounter c(4, 16);
-  EXPECT_EQ(c.now_floor(), 0u);
-}
-
-TEST(BatchedCounter, NowFloorNeverAtOrAboveAnOutstandingLeaseCursor) {
-  // Deterministic two-slot schedule: slot 0 holds a low lease, so the
-  // anchor must sit under slot 0's next issuable tick even after slot 1
-  // provisions (and issues from) a much higher block.
-  BatchedCounter c(2, 4);
-  EXPECT_EQ(c.acquire(0), 1u);   // slot 0: lease [1,4], next = 2
-  EXPECT_EQ(c.acquire(1), 5u);   // slot 1: lease [5,8], next = 6
-  EXPECT_EQ(c.now_floor(), 1u);  // min(next) - 1 = 1, not blocks*k = 8
-  EXPECT_EQ(c.acquire(0), 2u);
-  EXPECT_EQ(c.now_floor(), 2u);
-  c.release_slot(0);
-  // Slot 0 idle: only slot 1's cursor pins the anchor now.
-  EXPECT_EQ(c.now_floor(), 5u);
-}
-
-TEST(BatchedCounter, FenceRevokesUndercuttingLease) {
-  BatchedCounter c(2, 8);
-  EXPECT_EQ(c.acquire(0), 1u);  // slot 0 keeps [2, 8]
-  EXPECT_EQ(c.acquire(1), 9u);  // slot 1's commit stamp
-  c.fence_after(9);
-  // Slot 0's remaining lease [2, 8] undercuts stamp 9 and must be gone:
-  // every later acquire, from any slot, exceeds 9.
-  const std::uint64_t t = c.acquire(0);
-  EXPECT_GT(t, 9u);
-}
-
-TEST(BatchedCounter, FenceIsANoOpAboveEveryLease) {
-  BatchedCounter c(2, 8);
-  EXPECT_EQ(c.acquire(0), 1u);
-  c.fence_after(1);  // next = 2 > stamp: the lease survives
-  EXPECT_EQ(c.acquire(0), 2u);
-}
-
-// --- BatchedCounter: concurrency ---------------------------------------------
-
-TEST(BatchedCounter, ConcurrentAcquiresAreUnique) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 20000;
-  BatchedCounter c(kThreads, 16);
-  std::vector<std::vector<std::uint64_t>> got(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      auto& mine = got[static_cast<std::size_t>(t)];
-      mine.reserve(kPerThread);
-      for (int i = 0; i < kPerThread; ++i) mine.push_back(c.acquire(t));
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::set<std::uint64_t> all;
-  for (auto& v : got) {
-    // Per-slot stamps are strictly increasing even across re-leases.
-    EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
-    all.insert(v.begin(), v.end());
-  }
-  EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads) * kPerThread);
-}
-
-TEST(BatchedCounter, ConcurrentFencesNeverAdmitUndercuttingStamps) {
-  // Each thread alternates acquire and fence_after(own stamp), recording
-  // (stamp, fence-done flag). The fence contract — an acquire STARTING
-  // after fence_after(s) returns a tick > s — implies each thread's own
-  // stamps keep increasing (trivially true) and, cross-thread, that a
-  // stamp acquired after we observed a peer's fenced stamp exceeds it.
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 5000;
-  BatchedCounter c(kThreads, 8);
-  std::atomic<std::uint64_t> fenced{0};  // max stamp with a completed fence
-  std::atomic<bool> violation{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kRounds; ++i) {
-        const std::uint64_t seen = fenced.load(std::memory_order_seq_cst);
-        const std::uint64_t s = c.acquire(t);
-        if (s <= seen) violation.store(true, std::memory_order_relaxed);
-        c.fence_after(s);
-        std::uint64_t cur = fenced.load(std::memory_order_relaxed);
-        while (cur < s && !fenced.compare_exchange_weak(
-                              cur, s, std::memory_order_seq_cst)) {
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(violation.load());
-}
-
-TEST(BatchedCounter, NowFloorIsAlwaysBelowLaterStamps) {
-  // Reader threads interleave now_floor() with writer acquires; every
-  // acquire a reader triggers after its anchor must exceed the anchor.
-  constexpr int kRounds = 20000;
-  BatchedCounter c(4, 16);
-  std::atomic<bool> violation{false};
-  std::thread writer([&] {
-    for (int i = 0; i < kRounds; ++i) c.acquire(0);
-  });
-  std::thread reader([&] {
-    for (int i = 0; i < kRounds; ++i) {
-      const std::uint64_t anchor = c.now_floor();
-      const std::uint64_t s = c.acquire(1);
-      if (s <= anchor) violation.store(true, std::memory_order_relaxed);
-    }
-  });
-  writer.join();
-  reader.join();
-  EXPECT_FALSE(violation.load());
-}
-
-// --- ScalarTimeBase in batched mode ------------------------------------------
-
-TEST(ScalarTimeBase, BatchedModeHonorsSnapshotAndFloorContracts) {
-  ScalarTimeBase tb(2, /*batch=*/8);
-  ASSERT_EQ(tb.kind(), TimeBaseKind::kBatchedCounter);
-  ASSERT_NE(tb.batched(), nullptr);
-  const std::uint64_t snap = tb.now_snapshot(0);
-  const std::uint64_t s1 = tb.acquire_commit_stamp(0, 0);
-  EXPECT_GT(s1, snap);
-  const std::uint64_t s2 = tb.acquire_commit_stamp(1, s1);
-  EXPECT_GT(s2, s1);
-  tb.wait_until_safe(1, s2);
-  // After the fence, slot 0's acquire must exceed the fenced stamp even
-  // though its old lease started below it.
-  EXPECT_GT(tb.acquire_commit_stamp(0, 0), s2);
-  tb.release_slot(0);
-  tb.release_slot(1);
-}
 
 // --- ShardedClock ------------------------------------------------------------
 

@@ -139,7 +139,9 @@ TEST(CsStress, RecordedHistorySatisfiesCausalConditions) {
           });
         } else {
           rt->run(*th, [&](VcRuntime::Tx& tx) {
-            tx.write(vars[b]) += tx.read(vars[a]) + 1;
+            const long v = tx.read(vars[a]);
+            long& dst = tx.write(vars[b]);
+            dst = test_env::wrapped_bump(dst, v);
           });
         }
       }

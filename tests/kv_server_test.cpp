@@ -272,6 +272,61 @@ TEST(KvServer, ChaosFailpointsRecover) {
   fault::registry().reset_counts();
 }
 
+TEST(KvServer, RequestSourceIsSeededAndFollowsTheMix) {
+  // Both open-loop pacers (in-process and TCP) draw from RequestSource, so
+  // a seed must name exactly one stream, and the op shares must follow
+  // LoadMix (get takes the remainder).
+  LoadGenConfig lcfg;
+  lcfg.keyspace = 1024;
+  lcfg.poisson = true;  // the interarrival draw shares the RNG
+  lcfg.seed = 11;
+  constexpr int kDraws = 200000;
+  RequestSource a(lcfg, 1000);
+  RequestSource b(lcfg, 1000);
+  std::uint64_t counts[kOpCount] = {};
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(a.scheduled(), b.scheduled()) << "draw " << i;
+    const Request ra = a.next();
+    const Request rb = b.next();
+    ASSERT_EQ(ra.op, rb.op) << "draw " << i;
+    ASSERT_EQ(ra.key, rb.key) << "draw " << i;
+    ASSERT_EQ(ra.key2, rb.key2) << "draw " << i;
+    ASSERT_EQ(ra.value, rb.value) << "draw " << i;
+    ASSERT_EQ(ra.fanout, rb.fanout) << "draw " << i;
+    ASSERT_EQ(ra.arrival_ns, rb.arrival_ns) << "draw " << i;
+    ASSERT_LT(ra.key, lcfg.keyspace);
+    ++counts[static_cast<std::size_t>(ra.op)];
+  }
+  const LoadMix& m = lcfg.mix;
+  const double get =
+      1.0 - m.put - m.del - m.multi_get - m.scan - m.transfer;
+  const auto share = [&](Op op) {
+    return static_cast<double>(counts[static_cast<std::size_t>(op)]) / kDraws;
+  };
+  // 200k draws: the binomial standard deviation of every share is below
+  // 0.0011, so 0.005 is more than four of them.
+  constexpr double kTol = 0.005;
+  EXPECT_NEAR(share(Op::kPut), m.put, kTol);
+  EXPECT_NEAR(share(Op::kDel), m.del, kTol);
+  EXPECT_NEAR(share(Op::kMultiGet), m.multi_get, kTol);
+  EXPECT_NEAR(share(Op::kScan), m.scan, kTol);
+  EXPECT_NEAR(share(Op::kTransfer), m.transfer, kTol);
+  EXPECT_NEAR(share(Op::kGet), get, kTol);
+
+  // A different seed is a different stream.
+  LoadGenConfig other = lcfg;
+  other.seed = 12;
+  RequestSource c(lcfg, 1000);
+  RequestSource d(other, 1000);
+  int same = 0;
+  for (int i = 0; i < 64; ++i) {
+    const Request rc = c.next();
+    const Request rd = d.next();
+    same += (rc.op == rd.op && rc.key == rd.key) ? 1 : 0;
+  }
+  EXPECT_LT(same, 64);
+}
+
 TEST(KvServer, SstmDescriptorCountStaysBounded) {
   // The regression the housekeeping + maintain_every plumbing exists for:
   // under sustained update load, sstm's retained descriptor count must stay

@@ -157,7 +157,8 @@ TEST_P(LsaStress, RecordedHistoryIsStrictlySerializable) {
           if (b == a) b = (b + 1) % kObjects;
           rt.run(*th, [&](Tx& tx) {
             const long v = tx.read(vars[a]);
-            tx.write(vars[b]) += v + 1;
+            long& dst = tx.write(vars[b]);
+            dst = test_env::wrapped_bump(dst, v);
           });
         }
       }

@@ -1,13 +1,17 @@
 // Unit tests for the shared versioned-object substrate (src/object/):
-// chain walking, locator settling, prune-vs-pinned-reader interaction
-// through EBR, and the adaptive-retention grow/decay transitions.
+// chain walking, locator settling, the shared acquire/arbitrate loop,
+// prune-vs-pinned-reader interaction through EBR, and the
+// adaptive-retention grow/decay transitions.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "cm/contention_manager.hpp"
+#include "fault/failpoint.hpp"
 #include "object/object_store.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/txdesc.hpp"
@@ -177,6 +181,221 @@ TEST(ObjectStore, ResolveSkipsOwnLocatorToPreWriteVersion) {
 
   d.finish_abort();
   rig.store.settle(*o, o->loc.load(std::memory_order_acquire), s);
+}
+
+// --- acquire / ready_locator -----------------------------------------------
+
+/// A contention manager that replays a script of decisions (the last one
+/// repeats) and records the attempt number of every call.
+class ScriptedCm final : public cm::ContentionManager {
+ public:
+  explicit ScriptedCm(std::vector<cm::Decision> script)
+      : script_(std::move(script)) {}
+  cm::Decision arbitrate(const runtime::TxDescBase&,
+                         const runtime::TxDescBase&,
+                         std::uint32_t attempt) override {
+    attempts.push_back(attempt);
+    const std::size_t i = attempts.size() - 1;
+    return i < script_.size() ? script_[i] : script_.back();
+  }
+  std::string name() const override { return "scripted"; }
+
+  std::vector<std::uint32_t> attempts;
+
+ private:
+  std::vector<cm::Decision> script_;
+};
+
+/// Thrown by the test's abort path (the runtimes throw their TxAborted).
+struct Aborted {};
+
+/// Install `d` as the active writer of `o` over its current locator.
+Version* install_writer(Rig& rig, Object& o, TestDesc& d, int slot,
+                        long value) {
+  Locator* l = o.loc.load(std::memory_order_acquire);
+  const runtime::TypedPayload<long> pv(value);
+  Version* tent = rig.store.clone_version(slot, pv);
+  tent->prev.store(l->committed, std::memory_order_relaxed);
+  EXPECT_TRUE(rig.store.install(o, l, &d, tent, slot));
+  return tent;
+}
+
+/// The on_base hook every runtime shares the shape of: clone the base,
+/// link it, count the call.
+auto cloning_hook(Rig& rig, int slot, int* calls) {
+  return [&rig, slot, calls](Version* base) {
+    ++*calls;
+    Version* t = rig.store.clone_version(slot, *base->data);
+    t->prev.store(base, std::memory_order_relaxed);
+    return t;
+  };
+}
+
+auto throwing_abort() {
+  return [] { throw Aborted{}; };
+}
+
+TEST(ObjectStore, AcquireSettlesFinishedWritersWithoutArbitration) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  ScriptedCm cm({cm::Decision::kAbortSelf});
+  const AcquireSpec spec{cm, fault::Site::kLsaAcquire};
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  Version* initial = o->loc.load(std::memory_order_acquire)->committed;
+
+  // A committed writer: its tentative version becomes the base.
+  TestDesc committed(1, s, runtime::TxClass::kShort);
+  Version* v1 = install_writer(rig, *o, committed, s, 1);
+  committed.finish_commit();
+  TestDesc me(2, s, runtime::TxClass::kShort);
+  int calls = 0;
+  Version* t2 = rig.store.acquire(*o, &me, spec, s,
+                                  cloning_hook(rig, s, &calls),
+                                  throwing_abort());
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(t2->prev.load(std::memory_order_relaxed), v1);
+  Locator* l = o->loc.load(std::memory_order_acquire);
+  EXPECT_EQ(l->writer, &me);
+  EXPECT_EQ(l->tentative, t2);
+  EXPECT_EQ(l->committed, v1);
+  me.finish_abort();
+  rig.store.release(*o, &me, s);
+
+  // An aborted writer: its tentative version is dropped, the committed
+  // version it was based on stays the base.
+  TestDesc aborted(3, s, runtime::TxClass::kShort);
+  install_writer(rig, *o, aborted, s, 3);
+  aborted.finish_abort();
+  TestDesc me2(4, s, runtime::TxClass::kShort);
+  Version* t4 = rig.store.acquire(*o, &me2, spec, s,
+                                  cloning_hook(rig, s, &calls),
+                                  throwing_abort());
+  EXPECT_EQ(t4->prev.load(std::memory_order_relaxed), v1);
+  EXPECT_EQ(o->loc.load(std::memory_order_acquire)->committed, v1);
+  EXPECT_NE(v1, initial);
+  EXPECT_TRUE(cm.attempts.empty());  // finished writers are never arbitrated
+  me2.finish_abort();
+  rig.store.release(*o, &me2, s);
+}
+
+TEST(ObjectStore, ReadyLocatorReturnsOwnLocatorWithoutArbitration) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  ScriptedCm cm({cm::Decision::kAbortSelf});
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+
+  TestDesc me(1, s, runtime::TxClass::kShort);
+  install_writer(rig, *o, me, s, 1);
+  Locator* mine = o->loc.load(std::memory_order_acquire);
+  EXPECT_EQ(rig.store.ready_locator(*o, &me, {cm, fault::Site::kZlAcquire}, s,
+                                    throwing_abort()),
+            mine);
+  EXPECT_TRUE(cm.attempts.empty());
+  me.finish_abort();
+  rig.store.release(*o, &me, s);
+}
+
+TEST(ObjectStore, AbortSelfReachesAbortPathWithNothingInstalled) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  ScriptedCm cm({cm::Decision::kAbortSelf});
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+
+  TestDesc owner(1, s, runtime::TxClass::kShort);
+  install_writer(rig, *o, owner, s, 1);
+  Locator* before = o->loc.load(std::memory_order_acquire);
+  const util::StatsSnapshot stats_before = rig.stats.snapshot();
+
+  TestDesc me(2, s, runtime::TxClass::kShort);
+  int calls = 0;
+  EXPECT_THROW(rig.store.acquire(*o, &me, {cm, fault::Site::kCsAcquire}, s,
+                                 cloning_hook(rig, s, &calls),
+                                 throwing_abort()),
+               Aborted);
+  EXPECT_EQ(cm.attempts, std::vector<std::uint32_t>{0});
+  EXPECT_EQ(calls, 0);  // no tentative version was ever made
+  EXPECT_EQ(o->loc.load(std::memory_order_acquire), before);
+  EXPECT_EQ(owner.status(), runtime::TxStatus::kActive);
+  const util::StatsSnapshot after = rig.stats.snapshot();
+  EXPECT_EQ(after[util::Counter::kPoolHits] + after[util::Counter::kPoolMisses],
+            stats_before[util::Counter::kPoolHits] +
+                stats_before[util::Counter::kPoolMisses]);
+  EXPECT_EQ(after[util::Counter::kCmKills], 0u);
+  EXPECT_EQ(after[util::Counter::kCmWaits], 0u);
+  EXPECT_FALSE(me.waiting());
+
+  owner.finish_abort();
+  rig.store.release(*o, &owner, s);
+}
+
+TEST(ObjectStore, AcquireCarriesTheCmAttemptAcrossFailedInstalls) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  // Wait once, then kill: first the owner, then the writer that races in.
+  ScriptedCm cm({cm::Decision::kWait, cm::Decision::kAbortOther,
+                 cm::Decision::kAbortOther});
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+
+  TestDesc owner(1, s, runtime::TxClass::kShort);
+  install_writer(rig, *o, owner, s, 1);
+  TestDesc racer(2, s, runtime::TxClass::kShort);
+  TestDesc me(3, s, runtime::TxClass::kShort);
+  int calls = 0;
+  Version* tent = rig.store.acquire(
+      *o, &me, {cm, fault::Site::kSstmAcquire}, s,
+      [&](Version* base) {
+        // The first round loses its install: another writer gets in
+        // between the ready locator and the CAS.
+        if (calls++ == 0) install_writer(rig, *o, racer, s, 2);
+        Version* t = rig.store.clone_version(s, *base->data);
+        t->prev.store(base, std::memory_order_relaxed);
+        return t;
+      },
+      throwing_abort());
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(cm.attempts, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(owner.status(), runtime::TxStatus::kAborted);
+  EXPECT_EQ(racer.status(), runtime::TxStatus::kAborted);
+  EXPECT_EQ(o->loc.load(std::memory_order_acquire)->tentative, tent);
+  const util::StatsSnapshot st = rig.stats.snapshot();
+  EXPECT_EQ(st[util::Counter::kCmWaits], 1u);
+  EXPECT_EQ(st[util::Counter::kCmKills], 2u);
+  me.finish_abort();
+  rig.store.release(*o, &me, s);
+}
+
+TEST(ObjectStore, AcquirePokesTheSiteItIsGiven) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  ScriptedCm cm({cm::Decision::kAbortSelf});
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  fault::registry().disarm_all();
+  ASSERT_TRUE(fault::registry().arm(fault::Site::kCsAcquire, 1.0));
+
+  TestDesc me(1, s, runtime::TxClass::kShort);
+  int calls = 0;
+  EXPECT_THROW(rig.store.acquire(*o, &me, {cm, fault::Site::kCsAcquire}, s,
+                                 cloning_hook(rig, s, &calls),
+                                 throwing_abort()),
+               Aborted);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(fault::registry().triggers(fault::Site::kCsAcquire), 1u);
+
+  // Another runtime's site is not the armed one: the same call succeeds,
+  // and the armed site is not touched.
+  rig.store.acquire(*o, &me, {cm, fault::Site::kLsaAcquire}, s,
+                    cloning_hook(rig, s, &calls), throwing_abort());
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(fault::registry().hits(fault::Site::kCsAcquire), 1u);
+  EXPECT_EQ(fault::registry().triggers(fault::Site::kLsaAcquire), 0u);
+  fault::registry().disarm_all();
+  me.finish_abort();
+  rig.store.release(*o, &me, s);
 }
 
 TEST(ObjectStore, SuccessorOfWalksChain) {

@@ -11,6 +11,7 @@
 
 #include "history/checkers.hpp"
 #include "sstm/sstm.hpp"
+#include "stress_env.hpp"
 #include "util/rng.hpp"
 
 namespace zstm::sstm {
@@ -188,7 +189,9 @@ TEST(Sstm, ConcurrentHistoryIsSerializable) {
           });
         } else {
           rt.run(*th, [&](Tx& tx) {
-            tx.write(vars[b]) += tx.read(vars[a]) + 1;
+            const long v = tx.read(vars[a]);
+            long& dst = tx.write(vars[b]);
+            dst = test_env::wrapped_bump(dst, v);
           });
         }
       }

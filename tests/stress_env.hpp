@@ -32,4 +32,12 @@ inline int stress_rounds(int base) {
   return scaled < 1.0 ? 1 : static_cast<int>(scaled);
 }
 
+/// `dst + v + 1` with two's-complement wrap-around. The stress workloads
+/// that add one object into another grow their values exponentially, and
+/// signed overflow is undefined behaviour.
+inline long wrapped_bump(long dst, long v) {
+  return static_cast<long>(static_cast<unsigned long>(dst) +
+                           static_cast<unsigned long>(v) + 1u);
+}
+
 }  // namespace zstm::test_env

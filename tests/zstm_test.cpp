@@ -216,6 +216,39 @@ TEST(ZShort, CannotMoveToPastZone) {
   b->commit_short();
 }
 
+TEST(ZShort, WriteClaimedByActiveLongAfterWriteCheckAbortsAtCommit) {
+  // A short writer W passes its write-time zone check in zone 0; then a
+  // long L (zone 1) claims the object while W is still active, and a
+  // short S of zone 1 reads around W's tentative version and commits.
+  // W may not commit in zone 0 now: zone order would put it before L and
+  // S, yet S read the value W overwrites.
+  Runtime rt(quiet_config());
+  auto o1 = rt.make_var<int>(0);
+  auto o2 = rt.make_var<int>(0);
+  auto w = rt.attach();
+  auto l = rt.attach();
+  auto s = rt.attach();
+
+  ShortTx& tw = w->begin_short();
+  tw.write(o2, 1);  // zone 0, checked at the write
+
+  LongTx& tl = l->begin_long();  // zc = 1
+  (void)tl.read(o1);             // o1.zc = 1
+  // L's claim of o2 lands before its arbitration with W (the store
+  // claim_zone makes before the locator load that would find W).
+  o2.object()->zc.store(tl.zone(), std::memory_order_seq_cst);
+
+  ShortTx& ts = s->begin_short();
+  EXPECT_EQ(ts.read(o2), 0);  // zone 1; W is active, so the old value
+  ts.write(o1, 7);
+  s->commit_short();
+  EXPECT_EQ(s->last_zone_committed(), 1u);
+
+  EXPECT_THROW(w->commit_short(), TxAborted);
+  EXPECT_GE(rt.stats()[Counter::kZoneConflicts], 1u);
+  l->commit_long();
+}
+
 TEST(ZShort, TransferUpdatesObjectRightAfterLongReadIt) {
   // The Figure 7 discussion: a short transaction may update an object as
   // soon as the long transaction has read it — no visible-read blocking.
